@@ -1,8 +1,11 @@
 package fsatomic
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -62,5 +65,39 @@ func TestWriteFileErrorLeavesOriginal(t *testing.T) {
 	got, _ := os.ReadFile(existing)
 	if string(got) != "original" {
 		t.Errorf("original clobbered: %q", got)
+	}
+}
+
+// TestWriteFileConcurrentSamePath: racing writers of one path (a sweep
+// loop and a shutdown hook saving the same state file) must leave exactly
+// one writer's payload, never a mixture of two.
+func TestWriteFileConcurrentSamePath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.json")
+	const writers = 8
+	payloads := make(map[string]bool, writers)
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		// Distinct lengths, so an interleaved truncate and write shows up
+		// as a payload no writer sent.
+		data := strings.Repeat(fmt.Sprintf("writer %d;", i), 512*(i+1))
+		payloads[data] = true
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := WriteFile(path, []byte(data), 0o644); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !payloads[string(got)] {
+		t.Errorf("final file (%d bytes) is no writer's payload", len(got))
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temp file left behind: stat err = %v", err)
 	}
 }

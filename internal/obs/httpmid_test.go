@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func midSnapshot(t *testing.T, reg *Registry) Snapshot {
@@ -163,8 +164,15 @@ func TestMiddlewareHijacker(t *testing.T) {
 		t.Errorf("hijacked response line = %q", line)
 	}
 
+	// The client can see the raw response before the handler returns and
+	// the middleware records the exchange, so wait for the counter.
+	const hijacked = `http.requests{endpoint="/raw",code="hijacked"}`
 	s := reg.Snapshot()
-	if got := s.Counters[`http.requests{endpoint="/raw",code="hijacked"}`]; got != 1 {
+	for deadline := time.Now().Add(5 * time.Second); s.Counters[hijacked] == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		s = reg.Snapshot()
+	}
+	if got := s.Counters[hijacked]; got != 1 {
 		t.Errorf("hijacked requests = %d, want 1; counters = %v", got, s.Counters)
 	}
 	if h := s.Histograms[`http.request.duration{endpoint="/raw"}`]; h.Count != 0 {

@@ -35,6 +35,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"aide/internal/obs"
 	"aide/internal/simclock"
@@ -214,7 +215,7 @@ func (a *Archive) Checkin(text, author, log string) (rev string, changed bool, e
 func (a *Archive) Head() (string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	f, err := a.load()
+	f, err := a.loadReadOnly()
 	if err != nil {
 		return "", err
 	}
@@ -226,7 +227,7 @@ func (a *Archive) Head() (string, error) {
 func (a *Archive) Checkout(rev string) (string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	f, err := a.load()
+	f, err := a.loadReadOnly()
 	if err != nil {
 		return "", err
 	}
@@ -238,7 +239,7 @@ func (a *Archive) Checkout(rev string) (string, error) {
 func (a *Archive) CheckoutAtDate(t time.Time) (text, rev string, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	f, err := a.load()
+	f, err := a.loadReadOnly()
 	if err != nil {
 		return "", "", err
 	}
@@ -263,10 +264,8 @@ type RevTime struct {
 }
 
 // Dates returns every revision's number and check-in time, newest
-// first, without checking out any text. It reads through the
-// parsed-archive cache on the non-cloning path — the clone load()
-// makes for mutating callers would cost a revs-slice copy per index
-// query, and a TimeGate negotiation needs only these two columns.
+// first, without checking out any text — a TimeGate negotiation needs
+// only these two columns.
 func (a *Archive) Dates() ([]RevTime, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -285,7 +284,7 @@ func (a *Archive) Dates() ([]RevTime, error) {
 func (a *Archive) Log() ([]Revision, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	f, err := a.load()
+	f, err := a.loadReadOnly()
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +344,7 @@ func (a *Archive) Unlock(user string) error {
 func (a *Archive) LockedBy() (user, rev string, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	f, err := a.load()
+	f, err := a.loadReadOnly()
 	if err != nil {
 		return "", "", false
 	}
@@ -466,6 +465,9 @@ func (f *archiveFile) checkout(rev string) (string, error) {
 	if start > 0 {
 		obs.Default.Counter("rcs.checkpoint_hits").Inc()
 	}
+	if start == idx {
+		return storedText(f.revs[idx].text, f.revs[idx].noEOL), nil
+	}
 	lines := textdiff.Lines(f.revs[start].text)
 	for i := start + 1; i <= idx; i++ {
 		var err error
@@ -479,6 +481,22 @@ func (f *archiveFile) checkout(rev string) (string, error) {
 		text = strings.TrimSuffix(text, "\n")
 	}
 	return text, nil
+}
+
+// storedText returns a full-text revision (the head or a checkpoint) as
+// checkout delivers it: exactly Join(Lines(text)) with the final newline
+// dropped for noeol revisions, but without splitting and re-joining, so
+// an archive written by Checkin yields the stored string itself. Only an
+// inconsistent hand-made archive (a text without a final newline whose
+// noeol flag is missing) needs a copy.
+func storedText(text string, noEOL bool) string {
+	if text == "" || noEOL {
+		return strings.TrimSuffix(text, "\n")
+	}
+	if !textdiff.HasTrailingNewline(text) {
+		return text + "\n"
+	}
+	return text
 }
 
 // checkpointEvery returns the effective checkpoint spacing.
@@ -509,7 +527,11 @@ func (f *archiveFile) clone() *archiveFile {
 // validated against the file's size and mtime on every use. Snapshot
 // facilities open a fresh Archive handle per operation, so the cache must
 // outlive individual handles to be useful. Entries are canonical and
-// never mutated; load returns clones.
+// never mutated: read-only operations share them, and load hands
+// mutating callers a clone. An entry's revision texts are substrings of
+// the file it was parsed from, so it pins that whole file; after a
+// check-in it also holds the new head, so an entry costs up to about
+// twice its archive's size.
 var archCache = struct {
 	sync.Mutex
 	m    map[string]*archCacheEntry
@@ -563,59 +585,51 @@ func cachePut(path string, f *archiveFile, fi os.FileInfo) {
 // load parses the archive file, consulting the parsed-archive cache. The
 // returned value is a private clone the caller may mutate.
 func (a *Archive) load() (*archiveFile, error) {
-	f, cached, err := a.loadShared()
+	f, err := a.loadReadOnly()
 	if err != nil {
 		return nil, err
 	}
-	if cached {
-		return f.clone(), nil
-	}
-	return f, nil
+	return f.clone(), nil
 }
 
-// loadReadOnly returns the parsed archive without cloning. The result
-// may be the canonical cached value: callers must treat it as
-// immutable. This is the index-query fast path — a revision-datetime
-// listing per TimeGate negotiation must not copy the whole revs slice.
+// loadReadOnly stats, consults the cache, and parses on a miss. The
+// result may be the canonical cached value, shared with every other
+// reader: callers must treat it as immutable. Every operation that does
+// not rewrite the archive reads through here, so a checkout, log or
+// index query copies neither the revs slice nor any revision text.
 func (a *Archive) loadReadOnly() (*archiveFile, error) {
-	f, _, err := a.loadShared()
-	return f, err
-}
-
-// loadShared stats, consults the cache, and parses on a miss. cached
-// reports whether the returned value is the canonical cache entry
-// (shared, immutable) rather than a fresh private parse.
-func (a *Archive) loadShared() (f *archiveFile, cached bool, err error) {
 	fi, err := os.Stat(a.path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, false, ErrNoArchive
+			return nil, ErrNoArchive
 		}
-		return nil, false, err
+		return nil, err
 	}
 	if f := cacheGet(a.path, fi); f != nil {
 		obs.Default.Counter("rcs.cache.hits").Inc()
-		return f, true, nil
+		return f, nil
 	}
 	obs.Default.Counter("rcs.cache.misses").Inc()
 	data, err := os.ReadFile(a.path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, false, ErrNoArchive
+			return nil, ErrNoArchive
 		}
-		return nil, false, err
+		return nil, err
 	}
-	f, err = parseArchive(string(data))
+	// data is never written again, so the parse may alias it rather than
+	// copy it into a string first; the parsed texts are substrings of it.
+	f, err := parseArchive(unsafe.String(unsafe.SliceData(data), len(data)))
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	// Cache only if the file is unchanged since the pre-read stat, so a
 	// concurrent replace between stat and read cannot pin stale data to
 	// the new size/mtime.
 	if fi2, err2 := os.Stat(a.path); err2 == nil && fi2.Size() == fi.Size() && fi2.ModTime().Equal(fi.ModTime()) {
-		cachePut(a.path, f.clone(), fi)
+		cachePut(a.path, f, fi)
 	}
-	return f, false, nil
+	return f, nil
 }
 
 // store atomically rewrites the archive file and refreshes the cache.
@@ -648,8 +662,10 @@ func (a *Archive) store(f *archiveFile) error {
 	if err := os.Rename(tmpName, a.path); err != nil {
 		return err
 	}
+	// f is the caller's private clone and is not touched after store, so
+	// it can become the canonical entry as it is.
 	if fi, err := os.Stat(a.path); err == nil {
-		cachePut(a.path, f.clone(), fi)
+		cachePut(a.path, f, fi)
 	}
 	return nil
 }
@@ -956,30 +972,36 @@ func (p *parser) expectKeyword(kw string) (string, error) {
 	return got, nil
 }
 
-// atString parses an @-quoted string with @@ unescaping.
+// atString parses an @-quoted string with @@ unescaping. A string with
+// no @@ in it is returned as a substring of the source; only one that
+// contains an escaped @ is copied, to drop the doubled bytes.
 func (p *parser) atString() (string, error) {
 	p.skipSpace()
 	if p.pos >= len(p.src) || p.src[p.pos] != '@' {
 		return "", errors.New("missing opening @")
 	}
 	p.pos++
+	start := p.pos // first byte not yet copied to sb
 	var sb strings.Builder
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		if c != '@' {
-			sb.WriteByte(c)
-			p.pos++
+	for {
+		i := strings.IndexByte(p.src[p.pos:], '@')
+		if i < 0 {
+			return "", errors.New("unterminated @-string")
+		}
+		at := p.pos + i
+		if at+1 < len(p.src) && p.src[at+1] == '@' {
+			sb.WriteString(p.src[start : at+1])
+			p.pos = at + 2
+			start = p.pos
 			continue
 		}
-		if p.pos+1 < len(p.src) && p.src[p.pos+1] == '@' {
-			sb.WriteByte('@')
-			p.pos += 2
-			continue
+		p.pos = at + 1
+		if sb.Len() == 0 {
+			return p.src[start:at], nil
 		}
-		p.pos++
+		sb.WriteString(p.src[start:at])
 		return sb.String(), nil
 	}
-	return "", errors.New("unterminated @-string")
 }
 
 func isDelim(c byte) bool {

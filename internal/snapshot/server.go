@@ -488,6 +488,7 @@ func (s *Server) withKeepalive(w http.ResponseWriter, work func() (string, error
 	ticker := time.NewTicker(s.KeepaliveInterval)
 	defer ticker.Stop()
 	flusher, _ := w.(http.Flusher)
+	trickled := false
 	for {
 		select {
 		case <-ticker.C:
@@ -496,11 +497,10 @@ func (s *Server) withKeepalive(w http.ResponseWriter, work func() (string, error
 			if flusher != nil {
 				flusher.Flush()
 			}
+			trickled = true
 		case o := <-done:
 			if o.err != nil {
-				// Headers may already be out; deliver the error in-band.
-				fmt.Fprintf(w, "<HTML><BODY><B>Error:</B> %s</BODY></HTML>\n",
-					html.EscapeString(o.err.Error()))
+				keepaliveError(w, o.err, trickled)
 				return
 			}
 			fmt.Fprint(w, o.out)
@@ -542,6 +542,7 @@ func (s *Server) streamKeepalive(w http.ResponseWriter, prepare func() (func(io.
 	ticker := time.NewTicker(s.KeepaliveInterval)
 	defer ticker.Stop()
 	flusher, _ := w.(http.Flusher)
+	trickled := false
 	for {
 		select {
 		case <-ticker.C:
@@ -550,17 +551,28 @@ func (s *Server) streamKeepalive(w http.ResponseWriter, prepare func() (func(io.
 			if flusher != nil {
 				flusher.Flush()
 			}
+			trickled = true
 		case o := <-done:
 			if o.err != nil {
-				// Headers may already be out; deliver the error in-band.
-				fmt.Fprintf(w, "<HTML><BODY><B>Error:</B> %s</BODY></HTML>\n",
-					html.EscapeString(o.err.Error()))
+				keepaliveError(w, o.err, trickled)
 				return
 			}
 			stream(o.render)
 			return
 		}
 	}
+}
+
+// keepaliveError reports a failed keepalive operation. Until the first
+// trickle byte the status line is still unsent, so the error gets its
+// real status (404 for a missing revision); after it the headers are out
+// with 200 and the error can only go in-band.
+func keepaliveError(w http.ResponseWriter, err error, trickled bool) {
+	if !trickled {
+		httpError(w, err)
+		return
+	}
+	fmt.Fprintf(w, "<HTML><BODY><B>Error:</B> %s</BODY></HTML>\n", html.EscapeString(err.Error()))
 }
 
 // CorpusPage is one archived page in the /debug/corpus listing: the URL

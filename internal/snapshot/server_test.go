@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -201,10 +202,57 @@ func TestKeepaliveErrorInBand(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	r.web.Site("h").SetDown(true)
-	code, body := get(t, ts.URL+"/remember?url="+url.QueryEscape("http://h/x")+"&user=u")
+	// Hold the page's lock so Remember cannot fetch (and fail) until the
+	// client has read several keepalive bytes.
+	page := "http://h/x"
+	unlock, err := r.fac.locks.Lock(r.fac.store.LockKey(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlock = sync.OnceFunc(unlock)
+	defer unlock()
+	resp, err := http.Get(ts.URL + "/remember?url=" + url.QueryEscape(page) + "&user=u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	ticks := make([]byte, 3)
+	if _, err := io.ReadFull(resp.Body, ticks); err != nil || string(ticks) != "   " {
+		t.Fatalf("keepalive bytes = (%q, %v)", ticks, err)
+	}
+	unlock()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Headers were already streaming, so the error arrives in-band.
-	if code != 200 || !strings.Contains(body, "Error:") {
-		t.Errorf("in-band error missing: %d\n%s", code, body)
+	if resp.StatusCode != 200 || !strings.Contains(string(body), "Error:") {
+		t.Errorf("in-band error missing: %d\n%s", resp.StatusCode, body)
+	}
+}
+
+// TestKeepaliveErrorBeforeTrickleGetsStatus: an operation that fails
+// before the first keepalive byte answers with its real status, not an
+// in-band error under 200 — 404 for a missing revision, 500 for an
+// unreachable origin.
+func TestKeepaliveErrorBeforeTrickleGetsStatus(t *testing.T) {
+	r := newRig(t)
+	srv := NewServer(r.fac)
+	srv.KeepaliveInterval = time.Hour
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	r.web.Site("h").Page("/p").Set("<P>one</P>\n")
+	if _, err := r.fac.Remember(context.Background(), userA, "http://h/p"); err != nil {
+		t.Fatal(err)
+	}
+	code, body := get(t, ts.URL+"/diff?url="+url.QueryEscape("http://h/p")+"&r1=1.1&r2=1.9")
+	if code != http.StatusNotFound {
+		t.Errorf("diff to a missing revision: %d, want 404\n%s", code, body)
+	}
+	r.web.Site("h").SetDown(true)
+	code, body = get(t, ts.URL+"/remember?url="+url.QueryEscape("http://h/p")+"&user=u")
+	if code != http.StatusInternalServerError || strings.HasPrefix(body, " ") {
+		t.Errorf("remember of an unreachable page: %d, want 500\n%s", code, body)
 	}
 }
 

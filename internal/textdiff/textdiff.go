@@ -74,7 +74,12 @@ func Join(lines []string) string {
 	if len(lines) == 0 {
 		return ""
 	}
+	n := len(lines)
+	for _, l := range lines {
+		n += len(l)
+	}
 	var sb strings.Builder
+	sb.Grow(n)
 	for _, l := range lines {
 		sb.WriteString(l)
 		sb.WriteByte('\n')
