@@ -9,9 +9,9 @@
 // Beyond the three canonical forms, Parse is deliberately liberal in
 // what it accepts from the wild: numeric zone offsets on RFC 1123
 // dates, single-digit days, "UTC" and lowercase zone names, and — as a
-// convenience for machine-generated values such as loadgen workloads —
-// RFC 3339. Format always emits the canonical IMF-fixdate in GMT, the
-// only form a conforming server may generate.
+// convenience for machine-generated values from scripts and load
+// generators — RFC 3339. Format always emits the canonical IMF-fixdate
+// in GMT, the only form a conforming server may generate.
 package httpdate
 
 import (

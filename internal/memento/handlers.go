@@ -29,7 +29,7 @@ type Handlers struct {
 //
 // The path-embedded forms mirror public web-archive URI conventions;
 // the query forms survive proxies and ServeMux path cleaning
-// untouched, so scripted clients (CI, loadgen) prefer them.
+// untouched, so scripted clients (CI smoke tests, bench/) prefer them.
 func (h *Handlers) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("/timegate", h.timeGate)
 	mux.HandleFunc("/timegate/", h.timeGate)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -290,6 +291,12 @@ func TestMementoMetricsLabels(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+	// Every route in the mix also fills its latency histogram.
+	for _, ep := range []string{"/timegate", "/timemap/link", "/memento/", "/memento/diff"} {
+		if n := durationCount(out, ep); n <= 0 {
+			t.Errorf("http_request_duration_count{endpoint=%q} = %d, want > 0", ep, n)
+		}
+	}
 	// Cardinality discipline: no endpoint label carries a raw target URL
 	// or timestamp.
 	for _, line := range strings.Split(out, "\n") {
@@ -324,22 +331,20 @@ func TestTimeGatePathFormAgainstServer(t *testing.T) {
 	}
 }
 
-func TestDebugCorpusDatetimes(t *testing.T) {
-	r, ts := serverRig(t)
-	seedRevisions(t, r, "h", "/p", []time.Time{june(1, 12), june(3, 12)}, []string{"<html>v1</html>\n", "<html>v2</html>\n"})
-
-	code, body := get(t, ts.URL+"/debug/corpus")
-	if code != 200 {
-		t.Fatalf("corpus status = %d", code)
-	}
-	for _, want := range []string{
-		`"first":"1996-06-01T12:00:00Z"`,
-		`"last":"1996-06-03T12:00:00Z"`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("corpus missing %s:\n%s", want, body)
+// durationCount returns the sample count of endpoint's latency histogram
+// in a Prometheus text scrape, or -1 when the series is absent.
+func durationCount(scrape, endpoint string) int64 {
+	prefix := `http_request_duration_count{endpoint="` + endpoint + `"} `
+	for _, line := range strings.Split(scrape, "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return -1
+			}
+			return n
 		}
 	}
+	return -1
 }
 
 func readAll(t *testing.T, resp *http.Response) string {

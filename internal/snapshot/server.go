@@ -143,7 +143,6 @@ func (s *Server) routes() (*http.ServeMux, func(*Gate)) {
 	mux.HandleFunc("/shard/export", s.handleShardExport)
 	mux.HandleFunc("/shard/import", s.handleShardImport)
 	mux.HandleFunc("/debug/shards", s.handleDebugShards)
-	mux.HandleFunc("/debug/corpus", s.handleDebugCorpus)
 	// RFC 7089 time travel: TimeGate negotiation, TimeMaps, URI-Ms, and
 	// datetime-addressed diffs, all resolving through the facility's
 	// revision index. Mounted on the same mux, so the patterns land in
@@ -573,55 +572,6 @@ func keepaliveError(w http.ResponseWriter, err error, trickled bool) {
 		return
 	}
 	fmt.Fprintf(w, "<HTML><BODY><B>Error:</B> %s</BODY></HTML>\n", html.EscapeString(err.Error()))
-}
-
-// CorpusPage is one archived page in the /debug/corpus listing: the URL
-// and its revision numbers, oldest first — what a load generator needs
-// to construct valid /diff, /history, and /co requests against a live
-// server.
-type CorpusPage struct {
-	URL  string   `json:"url"`
-	Revs []string `json:"revs"`
-	// First and Last are the capture instants (RFC 3339) of the oldest
-	// and newest revisions — the datetime range a load generator can
-	// draw Accept-Datetime values and TimeMap expectations from.
-	First string `json:"first,omitempty"`
-	Last  string `json:"last,omitempty"`
-}
-
-// handleDebugCorpus lists the archived corpus as JSON for external
-// benchmarking (cmd/loadgen -target). ?limit=N bounds the listing.
-func (s *Server) handleDebugCorpus(w http.ResponseWriter, r *http.Request) {
-	urls, err := s.Facility.ArchivedURLs()
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	if v := r.URL.Query().Get("limit"); v != "" {
-		if n, perr := strconv.Atoi(v); perr == nil && n >= 0 && n < len(urls) {
-			urls = urls[:n]
-		}
-	}
-	pages := make([]CorpusPage, 0, len(urls))
-	for _, u := range urls {
-		revs, _, herr := s.Facility.History("", u)
-		if herr != nil {
-			continue // mid-scrub or just-deleted archive: skip, don't fail the listing
-		}
-		p := CorpusPage{URL: u, Revs: make([]string, 0, len(revs))}
-		for i := len(revs) - 1; i >= 0; i-- { // History is newest-first
-			p.Revs = append(p.Revs, revs[i].Num)
-		}
-		if len(revs) > 0 {
-			p.First = revs[len(revs)-1].Date.UTC().Format(time.RFC3339)
-			p.Last = revs[0].Date.UTC().Format(time.RFC3339)
-		}
-		pages = append(pages, p)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Pages []CorpusPage `json:"pages"`
-	}{pages})
 }
 
 // writeWithBase streams doc with the §4.1 BASE directive injected. It

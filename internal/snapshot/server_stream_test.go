@@ -61,37 +61,43 @@ func streamRig(t *testing.T, revs int) (*rig, *Server, string) {
 	return r, srv, "http://h/p"
 }
 
-// TestStreamedResponseFlushesAndRecordsRED drives /history through the
-// full middleware stack with a flush-counting writer: the response must
-// reach the client in more than one flush, and the RED series must
-// record the 2xx and the latency sample exactly as for a buffered
-// response.
+// TestStreamedResponseFlushesAndRecordsRED drives the streamed read
+// routes through the full middleware stack with a flush-counting writer:
+// the long /history must reach the client in more than one flush, and
+// for every route the RED series must record the 2xx and the latency
+// sample exactly as for a buffered response.
 func TestStreamedResponseFlushesAndRecordsRED(t *testing.T) {
 	r, srv, pageURL := streamRig(t, 40)
 	h := srv.Handler()
 	reg := r.fac.metrics()
-	before := reg.CounterVec("http.requests", "endpoint", "code").With("/history", "2xx").Value()
+	q := "?url=" + url.QueryEscape(pageURL) + "&user=" + url.QueryEscape(userA)
 
-	w := newAbortWriter(0) // never fails; counts flushes
-	req := httptest.NewRequest("GET", "/history?url="+url.QueryEscape(pageURL)+"&user="+url.QueryEscape(userA), nil)
-	h.ServeHTTP(w, req)
+	for _, tc := range []struct{ endpoint, path string }{
+		{"/history", "/history" + q},
+		{"/diff", "/diff" + q + "&r1=1.1&r2=1.40"},
+		{"/co", "/co" + q + "&rev=1.2"},
+	} {
+		before := reg.CounterVec("http.requests", "endpoint", "code").With(tc.endpoint, "2xx").Value()
+		w := newAbortWriter(0) // never fails; counts flushes
+		h.ServeHTTP(w, httptest.NewRequest("GET", tc.path, nil))
 
-	if w.status != 0 && w.status != 200 {
-		t.Fatalf("status = %d", w.status)
-	}
-	if w.n == 0 {
-		t.Fatal("no body written")
-	}
-	if w.flushes == 0 {
-		t.Errorf("long history (%d bytes) produced no mid-stream flush", w.n)
-	}
-	got := reg.CounterVec("http.requests", "endpoint", "code").With("/history", "2xx").Value()
-	if got != before+1 {
-		t.Errorf("http.requests{/history,2xx} = %d, want %d", got, before+1)
-	}
-	hs, ok := reg.Snapshot().Histograms[`http.request.duration{endpoint="/history"}`]
-	if !ok || hs.Count == 0 {
-		t.Errorf("latency histogram for /history missing (ok=%v, %+v)", ok, hs)
+		if w.status != 0 && w.status != 200 {
+			t.Fatalf("%s: status = %d", tc.endpoint, w.status)
+		}
+		if w.n == 0 {
+			t.Fatalf("%s: no body written", tc.endpoint)
+		}
+		if tc.endpoint == "/history" && w.flushes == 0 {
+			t.Errorf("long history (%d bytes) produced no mid-stream flush", w.n)
+		}
+		got := reg.CounterVec("http.requests", "endpoint", "code").With(tc.endpoint, "2xx").Value()
+		if got != before+1 {
+			t.Errorf("http.requests{%s,2xx} = %d, want %d", tc.endpoint, got, before+1)
+		}
+		hs, ok := reg.Snapshot().Histograms[`http.request.duration{endpoint="`+tc.endpoint+`"}`]
+		if !ok || hs.Count == 0 {
+			t.Errorf("latency histogram for %s missing (ok=%v, %+v)", tc.endpoint, ok, hs)
+		}
 	}
 }
 
@@ -150,50 +156,6 @@ func TestErrorBeforeStreamingRecordsStatus(t *testing.T) {
 	}
 	if v := reg.CounterVec("http.requests", "endpoint", "code").With("/history", "4xx").Value(); v == 0 {
 		t.Error("4xx not recorded for /history")
-	}
-}
-
-// TestDebugCorpus checks the load generator's discovery endpoint: every
-// archived URL with its revisions oldest-first, and the limit parameter.
-func TestDebugCorpus(t *testing.T) {
-	r, srv, pageURL := streamRig(t, 3)
-	q := r.web.Site("h").Page("/q")
-	q.Set("<P>Other page.</P>\n")
-	if _, err := r.fac.Remember(context.Background(), userA, "http://h/q"); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/debug/corpus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 200 {
-		t.Fatalf("corpus: %d\n%s", resp.StatusCode, body)
-	}
-	s := string(body)
-	for _, want := range []string{pageURL, "http://h/q", `"1.1"`, `"1.3"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("corpus missing %q:\n%s", want, s)
-		}
-	}
-	// Revisions are listed oldest first — requestURL's span pair depends
-	// on that ordering.
-	if i, j := strings.Index(s, `"1.1"`), strings.Index(s, `"1.3"`); i > j {
-		t.Errorf("revisions not oldest-first:\n%s", s)
-	}
-
-	resp2, err := http.Get(ts.URL + "/debug/corpus?limit=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	body2, _ := io.ReadAll(resp2.Body)
-	if c := strings.Count(string(body2), `"url"`); c != 1 {
-		t.Errorf("limit=1 returned %d pages:\n%s", c, body2)
 	}
 }
 
